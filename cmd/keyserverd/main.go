@@ -158,8 +158,8 @@ func (d *daemon) rekey(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("rekey msg %d: %d ENC, %d PARITY, %d USR, %d rounds, group size %d",
-		rm.MsgID, st.EncSent, st.ParitySent, st.UsrSent, st.Rounds, d.ks.N())
+	log.Printf("rekey msg %d: rho %.2f, %d ENC, %d PARITY, %d USR, %d rounds, group size %d",
+		rm.MsgID, st.Rho, st.EncSent, st.ParitySent, st.UsrSent, st.Rounds, d.ks.N())
 	return nil
 }
 

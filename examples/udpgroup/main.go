@@ -74,8 +74,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("bootstrap: %d ENC, %d PARITY, %d USR, rounds %d, NACKs/round %v\n",
-		st.EncSent, st.ParitySent, st.UsrSent, st.Rounds, st.NACKsPerRound)
+	fmt.Printf("bootstrap: rho %.2f, %d ENC, %d PARITY, %d USR, rounds %d, NACKs/round %v\n",
+		st.Rho, st.EncSent, st.ParitySent, st.UsrSent, st.Rounds, st.NACKsPerRound)
 
 	agree := 0
 	want := ks.GroupKey()
@@ -123,6 +123,6 @@ func main() {
 			agree++
 		}
 	}
-	fmt.Printf("after churn: group key %s: %d/%d members agree (%d ENC, %d PARITY, %d USR)\n",
-		want.String(), agree, len(clients), st.EncSent, st.ParitySent, st.UsrSent)
+	fmt.Printf("after churn: group key %s: %d/%d members agree (rho %.2f, %d ENC, %d PARITY, %d USR)\n",
+		want.String(), agree, len(clients), st.Rho, st.EncSent, st.ParitySent, st.UsrSent)
 }

@@ -107,22 +107,24 @@ func Interleave(perBlock [][]int) []Ref {
 	}
 }
 
-// RoundOne returns the interleaved send order of the first multicast
-// round: k data shards plus ceil((rho-1)*k) proactive parity shards per
-// block.
-func RoundOne(p Partition, rho float64) []Ref {
-	k := p.K
-	pro := ProactiveParity(k, rho)
+// FirstRound returns every block's first-round shard list: its k data
+// shards plus ceil((rho-1)*k) proactive parity shards.
+func FirstRound(p Partition, rho float64) [][]int {
+	n := p.K + ProactiveParity(p.K, rho)
 	perBlock := make([][]int, p.NumBlocks())
 	for b := range perBlock {
-		shards := make([]int, 0, k+pro)
-		for s := 0; s < k+pro; s++ {
-			shards = append(shards, s)
+		shards := make([]int, n)
+		for s := range shards {
+			shards[s] = s
 		}
 		perBlock[b] = shards
 	}
-	return Interleave(perBlock)
+	return perBlock
 }
+
+// RoundOne returns the interleaved send order of the first multicast
+// round (FirstRound, interleaved).
+func RoundOne(p Partition, rho float64) []Ref { return Interleave(FirstRound(p, rho)) }
 
 // ProactiveParity returns ceil((rho-1)*k), the number of proactive
 // PARITY packets per block for proactivity factor rho.

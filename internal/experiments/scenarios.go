@@ -125,7 +125,10 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options, drOpts ..
 		return fail(err)
 	}
 
-	var sess *protocol.Session
+	sess, err := protocol.NewSession(cfg, nil, opts.Seed^0xbeef)
+	if err != nil {
+		return fail(err)
+	}
 	var roundAcc, overheadAcc, nackAcc stats.Accumulator
 	cell.PeakN = len(dr.Tree().Members())
 	for {
@@ -157,13 +160,7 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options, drOpts ..
 		if err != nil {
 			return fail(err)
 		}
-		if sess == nil {
-			if sess, err = protocol.NewSession(cfg, star, opts.Seed^0xbeef); err != nil {
-				return fail(err)
-			}
-		} else {
-			sess.Rebind(star)
-		}
+		sess.Rebind(star)
 		msg, err := protocol.BuildMessage(st.Res, st.Plan, cfg.K, 4)
 		if err != nil {
 			return fail(err)

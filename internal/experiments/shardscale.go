@@ -187,7 +187,10 @@ func runShardCellOnce(ss ScenarioSpec, s int, opts Options) (ShardCell, []int64,
 		next++
 		return m
 	}
-	var sess *protocol.Session
+	sess, err := protocol.NewSession(pcfg, nil, opts.Seed^0xbeef)
+	if err != nil {
+		return fail(err)
+	}
 	lastSent := -1 // last shard whose channel went over the wire
 	for i := 0; i < scn.Intervals(); i++ {
 		joins, leaves := scn.Churn(i, c.Members(), rng, alloc)
@@ -264,13 +267,7 @@ func runShardCellOnce(ss ScenarioSpec, s int, opts Options) (ShardCell, []int64,
 		if err != nil {
 			return fail(err)
 		}
-		if sess == nil {
-			if sess, err = protocol.NewSession(pcfg, star, opts.Seed^0xbeef); err != nil {
-				return fail(err)
-			}
-		} else {
-			sess.Rebind(star)
-		}
+		sess.Rebind(star)
 		met, err := sess.Run(pmsg)
 		if err != nil {
 			return fail(err)

@@ -3,21 +3,15 @@ package protocol
 import (
 	"math"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
-func newBareSession(t *testing.T, cfg Config) *Session {
+func newBareEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	net, err := netsim.NewStar(netsim.StarConfig{N: 4, Seed: 1})
+	e, err := NewEngine(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(cfg, net, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return e
 }
 
 // TestAdjustRhoIncrease checks the Fig. 11 worked example: 10 NACKs with
@@ -26,10 +20,10 @@ func newBareSession(t *testing.T, cfg Config) *Session {
 func TestAdjustRhoIncrease(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumNACK = 2
-	s := newBareSession(t, cfg)
+	s := newBareEngine(t, cfg)
 	s.rho = 1.0
 	a := []int{9, 7, 5, 4, 3, 3, 2, 2, 1, 1}
-	s.adjustRho(append([]int(nil), a...))
+	s.adjustRho(append([]int(nil), a...), 0)
 	want := (5.0 + 10.0) / 10.0
 	if math.Abs(s.rho-want) > 1e-12 {
 		t.Fatalf("rho = %v, want %v", s.rho, want)
@@ -40,9 +34,9 @@ func TestAdjustRhoIncreaseUnsortedInput(t *testing.T) {
 	// The algorithm sorts descending itself.
 	cfg := DefaultConfig()
 	cfg.NumNACK = 1
-	s := newBareSession(t, cfg)
+	s := newBareEngine(t, cfg)
 	s.rho = 1.0
-	s.adjustRho([]int{1, 9, 4})
+	s.adjustRho([]int{1, 9, 4}, 0)
 	want := (4.0 + 10.0) / 10.0
 	if math.Abs(s.rho-want) > 1e-12 {
 		t.Fatalf("rho = %v, want %v", s.rho, want)
@@ -52,9 +46,9 @@ func TestAdjustRhoIncreaseUnsortedInput(t *testing.T) {
 func TestAdjustRhoNoChangeAtTarget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumNACK = 3
-	s := newBareSession(t, cfg)
+	s := newBareEngine(t, cfg)
 	s.rho = 1.4
-	s.adjustRho([]int{2, 2, 1})
+	s.adjustRho([]int{2, 2, 1}, 0)
 	if s.rho != 1.4 {
 		t.Fatalf("rho changed to %v with exactly-target NACKs", s.rho)
 	}
@@ -65,9 +59,9 @@ func TestAdjustRhoDecreaseProbability(t *testing.T) {
 	// exactly one packet's worth.
 	cfg := DefaultConfig()
 	cfg.NumNACK = 20
-	s := newBareSession(t, cfg)
+	s := newBareEngine(t, cfg)
 	s.rho = 2.0
-	s.adjustRho(nil)
+	s.adjustRho(nil, 0)
 	want := math.Ceil(10*2.0-1) / 10 // 1.9
 	if math.Abs(s.rho-want) > 1e-12 {
 		t.Fatalf("rho = %v, want %v", s.rho, want)
@@ -75,7 +69,7 @@ func TestAdjustRhoDecreaseProbability(t *testing.T) {
 	// With size(A)*2 >= target the probability is 0: never decreases.
 	s.rho = 2.0
 	for i := 0; i < 50; i++ {
-		s.adjustRho([]int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}) // 10 NACKs, 2*10 >= 20
+		s.adjustRho([]int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0) // 10 NACKs, 2*10 >= 20
 		if s.rho != 2.0 {
 			t.Fatalf("rho decreased to %v with zero decrease probability", s.rho)
 		}
@@ -86,9 +80,9 @@ func TestAdjustRhoZeroTarget(t *testing.T) {
 	// numNACK = 0: any NACK raises rho by the largest request.
 	cfg := DefaultConfig()
 	cfg.NumNACK = 0
-	s := newBareSession(t, cfg)
+	s := newBareEngine(t, cfg)
 	s.rho = 1.0
-	s.adjustRho([]int{3, 1})
+	s.adjustRho([]int{3, 1}, 0)
 	want := (3.0 + 10.0) / 10.0
 	if math.Abs(s.rho-want) > 1e-12 {
 		t.Fatalf("rho = %v, want %v", s.rho, want)

@@ -1,6 +1,6 @@
 // Package protocol implements the rekey transport protocol's server and
 // user state machines (Figures 2, 3, 11, 22, 26 and 27 of the protocol
-// paper) over a simulated multicast network.
+// paper).
 //
 // For each rekey message the server multicasts the message's ENC packets
 // plus ceil((rho-1)*k) proactive PARITY packets per block, interleaved
@@ -13,20 +13,17 @@
 // first-round NACK count tracks a target (AdjustRho, Fig. 11), and the
 // target itself adapts to deadline misses.
 //
-// The engine tracks packet bookkeeping rather than ciphertext bytes:
-// which shards each user received determines recoverability exactly
-// (the MDS property of the FEC code), so bandwidth, NACK, latency and
-// deadline metrics are identical to a byte-level run at a fraction of
-// the cost. Byte-level operation is exercised by the fec, packet and
-// assign packages and the UDP transport.
+// Engine is that server loop with no I/O. Session drives it over a
+// simulated multicast network (package netsim) and udptrans.Server over
+// UDP sockets. The simulation tracks packet bookkeeping rather than
+// ciphertext bytes: which shards each user received determines
+// recoverability exactly (the MDS property of the FEC code), so
+// bandwidth, NACK, latency and deadline metrics are identical to a
+// byte-level run at a fraction of the cost.
 package protocol
 
 import (
 	"fmt"
-	"math"
-	"math/rand/v2"
-	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/assign"
@@ -42,13 +39,12 @@ import (
 // (k, degree, rho0, NACK targets, round budget, workers) come from the
 // embedded tuning core -- the same struct rekey.Config embeds -- so
 // they are defined and validated in exactly one place; the fields
-// declared here are simulation-specific. DefaultConfig returns the
-// paper's defaults.
+// declared here are the Engine's policy switches, which the UDP
+// transport takes at their defaults, and the simulation's timing.
+// DefaultConfig returns the paper's defaults.
 type Config struct {
-	// Tuning is the shared knob core; see package tuning. Note that
-	// here MaxMulticastRounds = 0 disables unicast entirely (multicast
-	// until every user recovers), and the session reads Degree only
-	// through each Message's TreeDegree.
+	// Tuning is the shared knob core; see package tuning. The session
+	// reads Degree only through each Message's TreeDegree.
 	tuning.Tuning
 	// AdaptiveRho enables the AdjustRho algorithm; when false, rho stays
 	// at InitialRho for every message.
@@ -231,37 +227,33 @@ func (m *Metrics) AvgUserRounds() float64 {
 	return float64(total) / float64(n)
 }
 
-// Session runs rekey messages over one network, carrying the adaptive
-// state (rho and the NACK target) across messages as the key server
-// does.
+// maxUnicastWaves bounds a simulated message's unicast phase.
+const maxUnicastWaves = 50
+
+// Session runs rekey messages over one simulated network: a thin
+// adapter that feeds an Engine the NACKs of simulated users. The engine
+// carries the adaptive state (rho and the NACK target) across messages
+// as the key server does.
 type Session struct {
-	cfg     Config
-	net     *netsim.Star
-	rho     float64
-	numNACK int
-	now     float64
-	msgSeq  int
-	rng     *rand.Rand
+	cfg    Config
+	eng    *Engine
+	net    *netsim.Star
+	now    float64
+	msgSeq int
 }
 
 // NewSession creates a session. The star network's user count fixes the
 // group size every message must match.
 func NewSession(cfg Config, net *netsim.Star, seed uint64) (*Session, error) {
-	if err := cfg.validate(); err != nil {
+	eng, err := NewEngine(cfg, seed)
+	if err != nil {
 		return nil, err
 	}
-	cfg.Obs.Set(obs.GRho, cfg.InitialRho)
-	return &Session{
-		cfg:     cfg,
-		net:     net,
-		rho:     cfg.InitialRho,
-		numNACK: cfg.NumNACK,
-		rng:     rand.New(rand.NewPCG(seed, 0x5e55)),
-	}, nil
+	return &Session{cfg: cfg, eng: eng, net: net}, nil
 }
 
 // Rho returns the proactivity factor the next message will use.
-func (s *Session) Rho() float64 { return s.rho }
+func (s *Session) Rho() float64 { return s.eng.Rho() }
 
 // Rebind swaps the session's network while carrying the adaptive state
 // (rho, the NACK target) across the change. Scenario harnesses use it:
@@ -276,9 +268,9 @@ func (s *Session) Rebind(net *netsim.Star) {
 }
 
 // NumNACK returns the current first-round NACK target.
-func (s *Session) NumNACK() int { return s.numNACK }
+func (s *Session) NumNACK() int { return s.eng.numNACK }
 
-// userState is the engine's per-user transport state for one message.
+// userState is a simulated user's transport state for one message.
 type userState struct {
 	pkt         int // specific real ENC packet index; -1 = nothing needed
 	block       int
@@ -302,200 +294,77 @@ func (s *Session) Run(msg *Message) (*Metrics, error) {
 	if len(msg.UserPkt) != s.net.N() {
 		return nil, fmt.Errorf("protocol: message for %d users on a %d-user network", len(msg.UserPkt), s.net.N())
 	}
-	cfg := s.cfg
-	k := cfg.K
-	if msg.Part.K != k {
-		return nil, fmt.Errorf("protocol: message partition uses k=%d, session k=%d", msg.Part.K, k)
+	if msg.Part.K != s.cfg.K {
+		return nil, fmt.Errorf("protocol: message partition uses k=%d, session k=%d", msg.Part.K, s.cfg.K)
 	}
-	met := &Metrics{
-		MsgID:         s.msgSeq,
-		RhoUsed:       s.rho,
-		NumNACKTarget: s.numNACK,
-		EncPackets:    msg.NumEnc(),
-		Blocks:        msg.Part.NumBlocks(),
-		UserRoundHist: make(map[int]int),
-	}
+	tr := s.eng.Begin(msg.Part, s.msgSeq, maxUnicastWaves, func(ui int) int {
+		return 5 + packet.EncEntryLen*msg.EncsPerUser[ui] + udpHeader
+	})
 	s.msgSeq++
+	met := tr.Metrics()
 	if msg.NumEnc() == 0 {
-		met.AllDone = true
+		tr.Next()
 		return met, nil
 	}
 
-	blocks := msg.Part.NumBlocks()
 	users := make([]userState, len(msg.UserPkt))
-	pending := 0
 	for i := range users {
 		users[i] = userState{pkt: msg.UserPkt[i], est: blockplan.NewEstimator()}
 		if msg.UserPkt[i] >= 0 {
 			users[i].block, _ = msg.Part.Slot(msg.UserPkt[i])
-			users[i].counts = make([]uint16, blocks)
-			pending++
+			users[i].counts = make([]uint16, msg.Part.NumBlocks())
+			met.NeededUsers++
 		}
 	}
-	met.NeededUsers = pending
-
 	start := s.now
-	nextParity := make([]int, blocks) // next fresh parity shard index per block
-	for b := range nextParity {
-		nextParity[b] = k
-	}
-
-	// feedback aggregates one round's NACKs.
-	type feedback struct {
-		nacks int
-		a     []int // per-NACK maximum parity request
-		amax  []int // per-block maximum parity request
-	}
-
-	const maxRounds = 64
-	round := 0
-	var lastFb feedback
-	for {
-		round++
-		var refs []blockplan.Ref
-		perBlock := make([][]int, blocks)
-		if round == 1 {
-			pro := blockplan.ProactiveParity(k, s.rho)
-			for b := 0; b < blocks; b++ {
-				for sh := 0; sh < k+pro; sh++ {
-					perBlock[b] = append(perBlock[b], sh)
+	for st := tr.Next(); st.Kind != StepDone; st = tr.Next() {
+		if st.Kind == StepMulticast {
+			times := make([]float64, len(st.Refs))
+			for i := range times {
+				times[i] = s.now + float64(i)*s.cfg.SendInterval
+			}
+			rd := s.net.MulticastRound(times)
+			s.now += float64(len(st.Refs))*s.cfg.SendInterval + s.cfg.RoundSlack
+			s.deliver(msg, users, st, rd, tr)
+			continue
+		}
+		// A unicast wave: a user is done once any of its duplicates
+		// arrives; duplicates go out back to back, and distinct users'
+		// sends share the wave window.
+		for _, ui := range st.Users {
+			got := false
+			for j := 0; j < st.Dups; j++ {
+				if s.net.Unicast(ui, s.now+float64(j)*0.001) {
+					got = true
 				}
 			}
-		} else {
-			for b := 0; b < blocks; b++ {
-				for j := 0; j < lastFb.amax[b]; j++ {
-					perBlock[b] = append(perBlock[b], nextParity[b])
-					nextParity[b]++
-				}
-			}
-		}
-		if cfg.SequentialSend {
-			for b, shards := range perBlock {
-				for _, sh := range shards {
-					refs = append(refs, blockplan.Ref{Block: b, Shard: sh})
-				}
-			}
-		} else {
-			refs = blockplan.Interleave(perBlock)
-		}
-		met.MulticastSent += len(refs)
-		for _, r := range refs {
-			switch {
-			case r.IsParity(k):
-				met.ParitySent++
-			case msg.Part.IsDuplicate(r.Block, r.Shard):
-				met.DupSent++
-			}
-		}
-		cfg.Obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: uint8(met.MsgID & 0x3f),
-			Round: round, Value: float64(len(refs))})
-		times := make([]float64, len(refs))
-		for i := range times {
-			times[i] = s.now + float64(i)*cfg.SendInterval
-		}
-		rd := s.net.MulticastRound(times)
-		s.now += float64(len(refs))*cfg.SendInterval + cfg.RoundSlack
-
-		fb := s.processRound(msg, users, refs, rd, round, blocks, met)
-		met.NACKsPerRound = append(met.NACKsPerRound, fb.nacks)
-		cfg.Obs.Observe(obs.HNACKsPerRound, float64(fb.nacks))
-		if round == 1 {
-			met.Round1NACKs = fb.nacks
-			if cfg.AdaptiveRho {
-				s.adjustRho(fb.a)
-			}
-		}
-		lastFb = fb
-		met.MulticastRounds = round
-
-		if fb.nacks == 0 {
-			met.AllDone = true
-			break
-		}
-		if cfg.MaxMulticastRounds > 0 && round >= cfg.MaxMulticastRounds {
-			break
-		}
-		if cfg.EarlyUnicast && s.usrBytes(msg, users) <= s.parityBytes(fb.amax) {
-			break
-		}
-		if round >= maxRounds {
-			break
-		}
-	}
-
-	// Deadline accounting happens at the multicast/unicast boundary:
-	// a user meets the deadline iff it recovered within DeadlineRounds
-	// multicast rounds.
-	if cfg.DeadlineRounds > 0 {
-		for i := range users {
-			u := &users[i]
-			if u.pkt < 0 {
-				continue
-			}
-			if u.doneRound == 0 || u.doneRound > cfg.DeadlineRounds {
-				met.MissedDeadline++
-			}
-		}
-		if cfg.AdaptNumNACK {
-			if met.MissedDeadline == 0 {
-				s.numNACK = min(s.numNACK+1, cfg.MaxNACK)
+			if got {
+				users[ui].doneRound = met.MulticastRounds + st.Round
+				met.UserRoundHist[users[ui].doneRound]++
 			} else {
-				s.numNACK = max(s.numNACK-met.MissedDeadline, 0)
+				tr.NACK(ui, nil)
 			}
 		}
-	}
-
-	if !met.AllDone {
-		if cfg.Obs.Enabled() {
-			pending := 0
-			for i := range users {
-				if !users[i].done() {
-					pending++
-				}
-			}
-			cfg.Obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast,
-				MsgID: uint8(met.MsgID & 0x3f), Round: met.MulticastRounds, Value: float64(pending)})
-		}
-		s.unicast(msg, users, met)
+		s.now += s.cfg.UnicastInterval
 	}
 	met.Elapsed = s.now - start
 	// Idle gap between rekey messages keeps link processes realistic.
-	s.now += cfg.RoundSlack
+	s.now += s.cfg.RoundSlack
 	return met, nil
 }
 
-// processRound distributes one round's deliveries to the pending users
-// (in parallel) and aggregates their feedback.
-func (s *Session) processRound(msg *Message, users []userState, refs []blockplan.Ref, rd *netsim.RoundDelivery, round, blocks int, met *Metrics) (fb struct {
-	nacks int
-	a     []int
-	amax  []int
-}) {
+// deliver hands one multicast round's deliveries to the pending users
+// (in parallel), then feeds the transfer each still-pending user's NACK
+// in user order.
+func (s *Session) deliver(msg *Message, users []userState, st Step, rd *netsim.RoundDelivery, tr *Transfer) {
 	k := s.cfg.K
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type partial struct {
-		nacks int
-		a     []int
-		amax  []int
-		hist  map[int]int
-	}
-	parts := make([]partial, workers)
+	workers := tuning.ResolveWorkers(s.cfg.Workers)
 	var wg sync.WaitGroup
 	chunk := (len(users) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(users))
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < len(users); lo += chunk {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			p := &parts[w]
-			p.amax = make([]int, blocks)
-			p.hist = make(map[int]int)
 			for ui := lo; ui < hi; ui++ {
 				u := &users[ui]
 				if u.done() {
@@ -505,166 +374,56 @@ func (s *Session) processRound(msg *Message, users []userState, refs []blockplan
 					continue
 				}
 				for _, idx := range rd.Received(ui) {
-					r := refs[idx]
+					r := st.Refs[idx]
 					u.counts[r.Block]++
-					if !r.IsParity(k) {
-						real := msg.Part.RealIndex(r.Block, r.Shard)
-						if real == u.pkt {
-							u.gotSpecific = true
-						}
-						if !msg.Part.IsDuplicate(r.Block, r.Shard) {
-							u.est.Observe(msg.UserNodeID[ui], blockplan.ENCHeader{
-								BlockID: r.Block, Seq: r.Shard,
-								FrmID: msg.FrmID[real], ToID: msg.ToID[real],
-								MaxKID: msg.MaxKID,
-							}, k, msg.TreeDegree)
-						}
+					if r.IsParity(k) {
+						continue
+					}
+					real := msg.Part.RealIndex(r.Block, r.Shard)
+					if real == u.pkt {
+						u.gotSpecific = true
+					}
+					if !msg.Part.IsDuplicate(r.Block, r.Shard) {
+						u.est.Observe(msg.UserNodeID[ui], blockplan.ENCHeader{
+							BlockID: r.Block, Seq: r.Shard,
+							FrmID: msg.FrmID[real], ToID: msg.ToID[real],
+							MaxKID: msg.MaxKID,
+						}, k, msg.TreeDegree)
 					}
 				}
 				if u.recovered(k) {
-					u.doneRound = round
-					p.hist[round]++
-					continue
-				}
-				// NACK: request parity for each block in the estimated
-				// range still short of k.
-				lo, hi := u.est.Low, u.est.High
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > blocks-1 {
-					hi = blocks - 1
-				}
-				maxA := 0
-				for b := lo; b <= hi; b++ {
-					if a := k - int(u.counts[b]); a > 0 {
-						if a > p.amax[b] {
-							p.amax[b] = a
-						}
-						if a > maxA {
-							maxA = a
-						}
-					}
-				}
-				if maxA > 0 {
-					p.nacks++
-					p.a = append(p.a, maxA)
-				} else {
-					// The estimated range is fully stocked yet the user
-					// could not decode its packet: only possible when the
-					// range excludes the true block, which the estimator
-					// forbids. Guard regardless.
-					p.nacks++
-					p.a = append(p.a, 1)
-					if p.amax[u.block] < 1 {
-						p.amax[u.block] = 1
-					}
+					u.doneRound = st.Round
 				}
 			}
-		}(w, lo, hi)
+		}(lo, min(lo+chunk, len(users)))
 	}
 	wg.Wait()
 
-	fb.amax = make([]int, blocks)
-	for _, p := range parts {
-		fb.nacks += p.nacks
-		fb.a = append(fb.a, p.a...)
-		for b, v := range p.amax {
-			if v > fb.amax[b] {
-				fb.amax[b] = v
-			}
+	met := tr.Metrics()
+	var reqs []Request
+	for ui := range users {
+		u := &users[ui]
+		if u.doneRound == st.Round {
+			met.UserRoundHist[st.Round]++
 		}
-		for r, c := range p.hist {
-			met.UserRoundHist[r] += c
-		}
-	}
-	return fb
-}
-
-// adjustRho implements the AdjustRho algorithm (Fig. 11) on the
-// first-round NACK list.
-func (s *Session) adjustRho(a []int) {
-	k := s.cfg.K
-	target := s.numNACK
-	before := s.rho
-	switch {
-	case len(a) > target:
-		sort.Sort(sort.Reverse(sort.IntSlice(a)))
-		add := a[target] // the (numNACK+1)-th largest request
-		s.rho = (float64(add) + math.Ceil(float64(k)*s.rho-1e-9)) / float64(k)
-	case len(a) < target:
-		prob := math.Max(0, float64(target-len(a)*2)/float64(target))
-		if s.rng.Float64() < prob {
-			s.rho = math.Max(0, math.Ceil(float64(k)*s.rho-1-1e-9)) / float64(k)
-		}
-	}
-	if s.rho != before {
-		s.cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: uint8(s.msgSeq & 0x3f), Value: s.rho})
-	}
-	s.cfg.Obs.Set(obs.GRho, s.rho)
-}
-
-// usrBytes is the total size of the USR packets (plus UDP headers) that
-// unicasting now would send to the still-pending users.
-func (s *Session) usrBytes(msg *Message, users []userState) int {
-	const udpHeader = 8
-	total := 0
-	for i := range users {
-		if users[i].done() {
+		if u.done() {
 			continue
 		}
-		total += 5 + packet.EncEntryLen*msg.EncsPerUser[i] + udpHeader
-	}
-	return total
-}
-
-// parityBytes is the size of the PARITY packets the next multicast round
-// would send.
-func (s *Session) parityBytes(amax []int) int {
-	const udpHeader = 8
-	n := 0
-	for _, a := range amax {
-		n += a
-	}
-	return n * (packet.PacketLen + udpHeader)
-}
-
-// unicast implements Switch2Unicast (Fig. 22): wave w sends w+1
-// duplicate USR packets to each pending user, starting at 2 duplicates,
-// until every user has recovered.
-func (s *Session) unicast(msg *Message, users []userState, met *Metrics) {
-	pendingIdx := make([]int, 0)
-	for i := range users {
-		if !users[i].done() {
-			pendingIdx = append(pendingIdx, i)
-		}
-	}
-	const maxWaves = 50
-	dups := 2
-	for wave := 1; len(pendingIdx) > 0 && wave <= maxWaves; wave++ {
-		var still []int
-		for _, ui := range pendingIdx {
-			got := false
-			for j := 0; j < dups; j++ {
-				met.UsrSent++
-				// Duplicates of one wave go out back to back; distinct
-				// users' sends share the wave window.
-				t := s.now + float64(j)*0.001
-				if s.net.Unicast(ui, t) {
-					got = true
-				}
-			}
-			if got {
-				users[ui].doneRound = met.MulticastRounds + wave
-				met.UserRoundHist[met.MulticastRounds+wave]++
-			} else {
-				still = append(still, ui)
+		// NACK: request parity for each block in the estimated range
+		// still short of k.
+		reqs = reqs[:0]
+		for b := max(u.est.Low, 0); b <= min(u.est.High, len(u.counts)-1); b++ {
+			if a := k - int(u.counts[b]); a > 0 {
+				reqs = append(reqs, Request{Block: b, Count: a})
 			}
 		}
-		s.now += s.cfg.UnicastInterval
-		met.UnicastWaves = wave
-		pendingIdx = still
-		dups++
+		if len(reqs) == 0 {
+			// The estimated range is fully stocked yet the user could
+			// not decode its packet: only possible when the range
+			// excludes the true block, which the estimator forbids.
+			// Guard regardless.
+			reqs = append(reqs, Request{Block: u.block, Count: 1})
+		}
+		tr.NACK(ui, reqs)
 	}
-	met.AllDone = len(pendingIdx) == 0
 }

@@ -106,8 +106,8 @@ func TestMetricsMatchStats(t *testing.T) {
 	if got := diff("unicast_waves"); got != int64(st.UnicastWaves) {
 		t.Errorf("unicast_waves = %d, Stats.UnicastWaves = %d", got, st.UnicastWaves)
 	}
-	if got := snap.Gauges["rho"]; got != tun.InitialRho {
-		t.Errorf("rho gauge = %v, want %v", got, tun.InitialRho)
+	if got := snap.Gauges["rho"]; got != srv.eng.Rho() {
+		t.Errorf("rho gauge = %v, want the engine's %v", got, srv.eng.Rho())
 	}
 	// The loss regime guarantees the NACK path actually ran.
 	if wantNACKs == 0 {

@@ -2,12 +2,14 @@
 // sockets: the key server multicasts ENC and PARITY packets (emulated
 // as a unicast fan-out, which keeps the code portable to hosts without
 // multicast routing), collects NACKs for a round, retransmits fresh
-// parity, and finally unicasts USR packets with escalating duplication
-// -- the same state machine internal/protocol simulates, driving real
-// bytes through real sockets.
+// parity, and finally unicasts USR packets with escalating duplication.
+// The round policy is protocol.Engine's -- the same engine the
+// simulator drives -- so this package only moves bytes and parses
+// NACKs.
 package udptrans
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,16 +37,25 @@ type Server struct {
 	mu    sync.Mutex
 	addrs map[rekey.MemberID]*net.UDPAddr // guarded by mu
 
-	// lastAmax carries the previous round's per-block parity demand;
-	// Distribute is single-flight per server.
-	lastAmax []int
+	// eng carries rho and the NACK target across intervals; Distribute
+	// is single-flight per server.
+	eng *protocol.Engine
 }
 
 // NewServer binds a UDP socket (addr like "127.0.0.1:0") for the key
 // server's transport. The transport reports into the key server's
 // obs registry (rekey.Config.Obs), so one registry observes the whole
-// server-side pipeline.
+// server-side pipeline. It runs the paper's policy with the key
+// server's tuning: rho starts at InitialRho and AdjustRho steers the
+// first-round NACKs toward NumNACK.
 func NewServer(ks *rekey.Server, addr string) (*Server, error) {
+	cfg := protocol.DefaultConfig()
+	cfg.Tuning = ks.Tuning()
+	cfg.Obs = ks.Obs()
+	eng, err := protocol.NewEngine(cfg, 1)
+	if err != nil {
+		return nil, fmt.Errorf("udptrans: %w", err)
+	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("udptrans: %w", err)
@@ -59,6 +70,7 @@ func NewServer(ks *rekey.Server, addr string) (*Server, error) {
 		obs:   ks.Obs(),
 		bufs:  protocol.NewBufPool(packet.PacketLen+packet.MaxAuthTrailer, ks.Obs()),
 		addrs: make(map[rekey.MemberID]*net.UDPAddr),
+		eng:   eng,
 	}, nil
 }
 
@@ -106,10 +118,11 @@ func addrPort(a *net.UDPAddr) netip.AddrPort {
 }
 
 // Options tune one Distribute run's wire behaviour: timing and the
-// unicast budget. The protocol knobs -- rho0, the multicast round
-// budget, the encode worker bound -- are NOT here: Distribute reads
-// them from the key server's shared tuning (rekey.Config.Tuning), so
-// every knob stays defined in exactly one options type.
+// unicast budget; zero fields take DefaultOptions' values. The protocol
+// knobs -- rho0, the NACK target, the multicast round budget, the
+// encode worker bound -- are NOT here: Distribute reads them from the
+// key server's shared tuning (rekey.Config.Tuning), so every knob stays
+// defined in exactly one options type.
 type Options struct {
 	// RoundDur is how long the server listens for NACKs after each
 	// multicast round (covers the maximum member RTT).
@@ -144,6 +157,8 @@ func (o Options) Validate() error {
 
 // Stats reports one distribution run.
 type Stats struct {
+	// Rho is the proactivity factor round one used.
+	Rho           float64
 	EncSent       int
 	ParitySent    int
 	UsrSent       int
@@ -152,12 +167,13 @@ type Stats struct {
 	NACKsPerRound []int
 }
 
-// Distribute runs the full transport protocol for one rekey message.
-// It returns once the NACK stream has gone quiet (all members done or
-// the unicast wave budget is exhausted). The protocol knobs (rho0,
-// multicast round budget, encode workers) come from the key server's
-// tuning; opts carries only wire timing. Cancelling ctx aborts the
-// NACK-collection waits and returns ctx's error.
+// Distribute runs the full transport protocol for one rekey message:
+// it sends what the server's protocol.Engine plans and feeds the
+// engine the NACKs that come back, until the engine reports the
+// message done (all members recovered, or the unicast wave budget is
+// exhausted). opts carries only wire timing and the wave budget.
+// Cancelling ctx aborts the NACK-collection waits and returns ctx's
+// error.
 func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Options) (*Stats, error) {
 	if len(rm.ENC) == 0 {
 		return &Stats{}, nil
@@ -165,18 +181,9 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.RoundDur == 0 {
-		opts.RoundDur = 150 * time.Millisecond
-	}
-	if opts.MaxUnicastWaves == 0 {
-		opts.MaxUnicastWaves = 8
-	}
-	tun := s.ks.Tuning()
-	maxRounds := tun.MaxMulticastRounds
-	if maxRounds <= 0 {
-		maxRounds = 2
-	}
-	s.obs.Set(obs.GRho, tun.InitialRho)
+	def := DefaultOptions()
+	opts.RoundDur = cmp.Or(opts.RoundDur, def.RoundDur)
+	opts.MaxUnicastWaves = cmp.Or(opts.MaxUnicastWaves, def.MaxUnicastWaves)
 
 	// A cancelled context unblocks the read wait in collectNACKs by
 	// expiring the socket's read deadline immediately.
@@ -185,16 +192,10 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	})
 	defer stopWatch()
 
-	st := &Stats{}
-	k := rm.Part.K
-	blocks := rm.Part.NumBlocks()
-	nextParity := make([]int, blocks)
-
-	// pendingUsers accumulates node IDs that NACKed and may need USR
-	// packets in the unicast phase.
-	pendingUsers := make(map[int]bool)
-
-	for round := 1; ; round++ {
+	tr := s.eng.Begin(rm.Part, int(rm.MsgID), opts.MaxUnicastWaves, nil)
+	st := &Stats{Rho: tr.Metrics().RhoUsed}
+	nacks := 0
+	for step := tr.Next(); step.Kind != protocol.StepDone; step = tr.Next() {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
@@ -202,84 +203,34 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if s.obs.Enabled() {
 			roundStart = time.Now()
 		}
-		var refs []blockplan.Ref
-		if round == 1 {
-			refs = blockplan.RoundOne(rm.Part, tun.InitialRho)
-			for b := range nextParity {
-				nextParity[b] = blockplan.ProactiveParity(k, tun.InitialRho)
+		if step.Kind == protocol.StepMulticast {
+			// Generate the parity prefix this round reaches into across
+			// all blocks in parallel, so the sends hit the cache.
+			if err := rm.PrecomputeParity(ctx, step.Parity, s.ks.Tuning().Workers); err != nil {
+				return st, err
 			}
+			if err := s.multicastRefs(ctx, rm, step.Refs, opts.SendInterval, st); err != nil {
+				return st, err
+			}
+			st.Rounds = step.Round
 		} else {
-			perBlock := make([][]int, blocks)
-			for b := 0; b < blocks; b++ {
-				for j := 0; j < s.lastAmax[b]; j++ {
-					perBlock[b] = append(perBlock[b], k+nextParity[b])
-					nextParity[b]++
-				}
+			st.UnicastWaves = step.Round
+			if err := s.unicastUSR(rm, step.Users, step.Dups, st); err != nil {
+				return st, err
 			}
-			refs = blockplan.Interleave(perBlock)
 		}
-		s.obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: round, Value: float64(len(refs))})
-		// After either branch, nextParity[b] is the total parity prefix
-		// this round's refs reach into; generate it across all blocks in
-		// parallel so multicastRefs hits the cache.
-		if err := rm.PrecomputeParity(ctx, nextParity, tun.Workers); err != nil {
-			return st, err
-		}
-		if err := s.multicastRefs(ctx, rm, refs, opts.SendInterval, st); err != nil {
-			return st, err
-		}
-		st.Rounds = round
-
-		nacks, amax, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
-		if s.obs.Enabled() {
+		var err error
+		nacks, err = s.collectNACKs(ctx, rm, tr, opts.RoundDur)
+		if step.Kind == protocol.StepMulticast && s.obs.Enabled() {
 			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
-			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
 		}
 		if err != nil {
 			return st, err
 		}
 		st.NACKsPerRound = append(st.NACKsPerRound, nacks)
-		for u := range users {
-			pendingUsers[u] = true
-		}
-		if nacks == 0 {
-			return st, nil
-		}
-		s.lastAmax = amax
-		if round >= maxRounds {
-			break
-		}
 	}
-
-	// Unicast phase: escalating duplicates per Fig. 22.
-	s.obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: rm.MsgID,
-		Round: st.Rounds, Value: float64(len(pendingUsers))})
-	dups := 2
-	for wave := 1; wave <= opts.MaxUnicastWaves && len(pendingUsers) > 0; wave++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		st.UnicastWaves = wave
-		s.obs.Inc(obs.CUnicastWaves)
-		if err := s.unicastUSR(rm, pendingUsers, dups, st); err != nil {
-			return st, err
-		}
-		dups++
-		nacks, _, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
-		if s.obs.Enabled() {
-			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
-		}
-		if err != nil {
-			return st, err
-		}
-		st.NACKsPerRound = append(st.NACKsPerRound, nacks)
-		pendingUsers = users
-		if nacks == 0 {
-			return st, nil
-		}
-	}
-	if len(pendingUsers) > 0 {
-		return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(pendingUsers))
+	if !tr.Metrics().AllDone {
+		return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", nacks)
 	}
 	return st, nil
 }
@@ -351,30 +302,30 @@ func sendErr(op string, err error) error {
 	return fmt.Errorf("udptrans: %s: %w", op, err)
 }
 
-// collectNACKs listens for one round duration and aggregates feedback.
-func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, blocks, k int, dur time.Duration) (nacks int, amax []int, users map[int]bool, err error) {
-	amax = make([]int, blocks)
-	users = make(map[int]bool)
+// collectNACKs listens for one round duration and feeds every NACK
+// for rm to the transfer, returning how many it accepted.
+func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, tr *protocol.Transfer, dur time.Duration) (int, error) {
 	deadline := time.Now().Add(dur)
 	buf := make([]byte, 2048)
-	seen := make(map[uint16]bool)
+	var reqs []protocol.Request
+	nacks := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return 0, nil, nil, err
+			return 0, err
 		}
 		if err := s.conn.SetReadDeadline(deadline); err != nil {
-			return 0, nil, nil, err
+			return 0, err
 		}
 		n, _, rerr := s.conn.ReadFromUDP(buf)
 		if rerr != nil {
 			var ne net.Error
 			if errors.As(rerr, &ne) && ne.Timeout() {
 				if err := ctx.Err(); err != nil {
-					return 0, nil, nil, err
+					return 0, err
 				}
-				return nacks, amax, users, nil
+				return nacks, nil
 			}
-			return 0, nil, nil, rerr
+			return 0, rerr
 		}
 		typ, derr := packet.Detect(buf[:n])
 		if derr != nil || typ != packet.TypeNACK {
@@ -386,22 +337,17 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}
-		if seen[nk.UserID] {
+		reqs = reqs[:0]
+		maxReq := 0
+		for _, r := range nk.Requests {
+			reqs = append(reqs, protocol.Request{Block: int(r.BlockID), Count: int(r.Count)})
+			maxReq = max(maxReq, int(r.Count))
+		}
+		if !tr.NACK(int(nk.UserID), reqs) {
 			s.obs.Inc(obs.CNACKIgnored)
 			continue // one NACK per user per round
 		}
-		seen[nk.UserID] = true
 		nacks++
-		users[int(nk.UserID)] = true
-		maxReq := 0
-		for _, r := range nk.Requests {
-			if int(r.BlockID) < blocks && int(r.Count) > amax[r.BlockID] {
-				amax[r.BlockID] = int(r.Count)
-			}
-			if int(r.Count) > maxReq {
-				maxReq = int(r.Count)
-			}
-		}
 		if s.obs.Enabled() {
 			s.obs.Inc(obs.CNACKRecv)
 			s.obs.Emit(obs.Event{Kind: obs.EvNACKReceived, MsgID: rm.MsgID,
@@ -410,9 +356,10 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 	}
 }
 
-func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, dups int, st *Stats) error {
+// unicastUSR sends dups copies of each user's USR datagram.
+func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users []int, dups int, st *Stats) error {
 	// Map node IDs back to member addresses via the server's group view.
-	for nodeID := range users {
+	for _, nodeID := range users {
 		// WireUSR carries the auth trailer on signed messages and is the
 		// plain marshal otherwise; the unicast phase is the cold path, so
 		// the datagram is built per user rather than cached.

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	rekey "repro"
+	"repro/internal/blockplan"
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -179,6 +181,72 @@ func TestLoopbackWithLoss(t *testing.T) {
 	waitKeyed(t, ks, clients, 5*time.Second)
 	if len(st.NACKsPerRound) == 0 {
 		t.Fatal("no NACK rounds recorded")
+	}
+}
+
+// TestRhoAdaptsAcrossIntervals: the deployed server runs AdjustRho.
+// Half the members lose every ENC packet (they learn of the message
+// from round one's single proactive parity packet per block), so the
+// first interval draws more first-round NACKs than the target; rho must
+// rise, and the next interval's round one must carry
+// ProactiveParity(k, rho) parity per block.
+func TestRhoAdaptsAcrossIntervals(t *testing.T) {
+	drop := func(i int) func([]byte) bool {
+		if i%2 == 0 {
+			return nil
+		}
+		return func(pkt []byte) bool {
+			typ, err := packet.Detect(pkt)
+			return err == nil && typ == packet.TypeENC
+		}
+	}
+	reg := obs.New()
+	tun := rekey.DefaultTuning()
+	tun.InitialRho = 1.1
+	tun.NumNACK = 1
+	ks, srv, clients := group(t, 24, drop, rekey.WithTuning(tun), rekey.WithKeySeed(4), rekey.WithObs(reg))
+	rho := srv.eng.Rho()
+	if rho <= tun.InitialRho {
+		t.Fatalf("rho after a NACK-heavy interval = %v, want > %v", rho, tun.InitialRho)
+	}
+
+	for _, id := range []rekey.MemberID{3, 8} {
+		if err := ks.QueueLeave(id); err != nil {
+			t.Fatal(err)
+		}
+		clients[id].Close()
+		srv.RemoveMemberAddr(id)
+		delete(clients, id)
+	}
+	rm, err := ks.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitKeyed(t, ks, clients, 5*time.Second)
+	if st.Rho != rho {
+		t.Fatalf("Stats.Rho = %v, want the adapted %v", st.Rho, rho)
+	}
+	k := tun.K
+	want := rm.Blocks() * (k + blockplan.ProactiveParity(k, rho))
+	found := false
+	for _, ev := range reg.Events() {
+		if ev.Kind == obs.EvRoundStart && ev.MsgID == rm.MsgID && ev.Round == 1 {
+			found = true
+			if int(ev.Value) != want {
+				t.Fatalf("round one sent %v packets, want %d blocks x (k + ProactiveParity(k, %v)) = %d",
+					ev.Value, rm.Blocks(), rho, want)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no round-one RoundStart event for the second interval")
+	}
+	if st.ParitySent < rm.Blocks()*blockplan.ProactiveParity(k, rho) {
+		t.Fatalf("sent %d parity packets, fewer than round one's proactive parity", st.ParitySent)
 	}
 }
 

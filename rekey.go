@@ -80,8 +80,7 @@ type Tuning = tuning.Tuning
 func DefaultTuning() Tuning { return tuning.Default() }
 
 // Config is the server's validated options core; NewServer's
-// functional options populate it. Construct servers with NewServer;
-// the Config-accepting NewServerConfig shim exists only for migration.
+// functional options populate it.
 type Config struct {
 	// Tuning holds the shared protocol knobs. Zero-valued fields take
 	// the paper defaults (DefaultTuning); the server itself consumes K
@@ -99,11 +98,6 @@ type Config struct {
 	// rekey message's Merkle root is signed once and every packet
 	// carries an inclusion proof plus that signature (see auth.go).
 	Signer *keys.Signer
-}
-
-func (c Config) withDefaults() Config {
-	c.Tuning = c.Tuning.WithDefaults()
-	return c
 }
 
 // Option configures a Server (see NewServer).
@@ -132,10 +126,8 @@ type Server struct {
 	obs   *obs.Registry
 	shard *shard.Shard
 
-	mu sync.Mutex
-	// The message state below is guarded by mu.
-	msgSeq  uint8         // guarded by mu
-	lastMsg *RekeyMessage // guarded by mu
+	mu     sync.Mutex
+	msgSeq uint8 // guarded by mu
 }
 
 // NewServer creates a server with an empty group. With no options it
@@ -146,18 +138,7 @@ func NewServer(opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return buildServer(cfg)
-}
-
-// NewServerConfig creates a server from an explicit Config.
-//
-// Deprecated: use NewServer with WithTuning / WithKeySeed / WithObs.
-// This shim exists for callers migrating from the old
-// NewServer(Config) signature and will be removed.
-func NewServerConfig(cfg Config) (*Server, error) { return buildServer(cfg) }
-
-func buildServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg.Tuning = cfg.Tuning.WithDefaults()
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, fmt.Errorf("rekey: %w", err)
 	}
@@ -310,7 +291,6 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 			return nil, err
 		}
 	}
-	s.lastMsg = rm
 	if s.obs.Enabled() {
 		s.obs.Inc(obs.CRekeys)
 		s.obs.Add(obs.CJoins, int64(joins))
@@ -323,13 +303,6 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		s.obs.Emit(obs.Event{Kind: obs.EvRekeyBuilt, MsgID: msgID, Value: float64(part.NumReal)})
 	}
 	return rm, nil
-}
-
-// LastMessage returns the most recent rekey message, if any.
-func (s *Server) LastMessage() *RekeyMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastMsg
 }
 
 // RekeyMessage is one interval's rekey workload, ready for transport.
